@@ -1,6 +1,6 @@
-// Benchmarks regenerating the paper's evaluation, one per table/figure
-// (see DESIGN.md's experiment index), plus the ablations DESIGN.md calls
-// out. Run with:
+// Benchmarks regenerating the paper's evaluation, one per table/figure,
+// plus ablations of the implementation choices (the README's
+// "Benchmarks" section lists them). Run with:
 //
 //	go test -bench=. -benchmem
 //
@@ -160,8 +160,9 @@ func BenchmarkDrivers(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationPrefilter measures the DESIGN.md ablation: joining with
-// the full SALES relation (paper-faithful) vs prefiltering it by C_1.
+// BenchmarkAblationPrefilter measures the Options.PrefilterSales
+// ablation: joining with the full SALES relation (paper-faithful,
+// Section 6.1) vs prefiltering it by C_1.
 func BenchmarkAblationPrefilter(b *testing.B) {
 	full, _, _ := datasets()
 	for _, pre := range []bool{false, true} {

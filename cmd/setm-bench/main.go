@@ -1,5 +1,5 @@
 // Command setm-bench regenerates the paper's evaluation tables and
-// figures (see DESIGN.md for the experiment index):
+// figures (the README's "Commands" and "Benchmarks" sections list them):
 //
 //	setm-bench -exp fig5      # Figure 5: size of R_i per iteration
 //	setm-bench -exp fig6      # Figure 6: cardinality of C_i per iteration
@@ -275,8 +275,8 @@ type benchRecord struct {
 	CPUs    int   `json:"cpus,omitempty"`
 	Workers int   `json:"workers,omitempty"`
 	NsPerOp int64 `json:"ns_per_op"`
-	Rows    int64  `json:"rows"`
-	Allocs  int64  `json:"allocs"`
+	Rows    int64 `json:"rows"`
+	Allocs  int64 `json:"allocs"`
 	// Spill accounting of the best run (out-of-core drivers only).
 	RunsSpilled int64 `json:"runs_spilled,omitempty"`
 	SpillBytes  int64 `json:"spill_bytes,omitempty"`

@@ -7,22 +7,24 @@ import (
 )
 
 // mineArena holds the scratch buffers one mining run threads through
-// its iterations: the radix ping-pong buffers, the key-column clone the
-// count step sorts, the extension output, the filtered R_k, the packed
-// C_k, and (for workers > 1) the per-worker chunk buffers. Buffers grow
-// to the high-water mark of the run and are reused verbatim afterwards,
-// so steady-state iterations allocate (almost) nothing.
+// its iterations: the dictionary's tables, the radix ping-pong buffers,
+// the count step's key-column clone or histogram, the extension output,
+// the filtered R_k, the packed C_k, and (for workers > 1) the
+// per-worker chunk buffers. Buffers grow to the high-water mark of the
+// run and are reused verbatim afterwards, so steady-state iterations
+// allocate (almost) nothing.
 type mineArena struct {
 	ext      []prow   // R'_k, the extension output
 	rkBuf    []prow   // R_k, the filter output
 	rowsTmp  []prow   // radix scratch for (tid, key) sorts
 	salesBuf []prow   // packed R_1
 	joinBuf  []prow   // prefiltered join side (PrefilterSales only)
-	keys     []uint64 // key-column clone sorted by the count step
+	keys     []uint64 // count step: sorted key-column clone or key histogram
 	keysTmp  []uint64 // radix scratch for key sorts
 	txItems  []uint64 // per-transaction code scratch
 	bitmap   []uint64 // C_k membership bitmap for the filter step
 	dictBuf  []int64  // the dictionary's code -> item table
+	codes    []uint32 // the dictionary's dense item - lo -> code table
 	ck       pkCounts // packed C_k
 
 	// Per-worker buffers for the parallel chunk kernels (resident path)
@@ -80,6 +82,15 @@ func growProws(buf []prow, n int) []prow {
 func growU64(buf []uint64, n int) []uint64 {
 	if cap(buf) < n {
 		return make([]uint64, n)
+	}
+	return buf[:n]
+}
+
+// growU32 returns buf resized to n entries, reallocating only when the
+// capacity is exceeded.
+func growU32(buf []uint32, n int) []uint32 {
+	if cap(buf) < n {
+		return make([]uint32, n)
 	}
 	return buf[:n]
 }

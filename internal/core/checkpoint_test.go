@@ -259,6 +259,28 @@ func TestResumeRejectsMismatchedRun(t *testing.T) {
 	}
 }
 
+// TestResumeRejectsForeignItems resumes a PrefilterSales checkpoint on a
+// dataset with the same transaction and SALES row counts but other item
+// ids: the manifest's C_1 names items the dictionary lacks, which must
+// surface as ErrCheckpoint rather than be coded (or index the dense code
+// table out of range).
+func TestResumeRejectsForeignItems(t *testing.T) {
+	d := ckptDataset(9, 70, 8, 12)
+	opts := core.Options{MinSupportCount: 2, PrefilterSales: true}
+	cp := writeCheckpointAt(t, d, opts, 2, t.TempDir())
+	shifted := &core.Dataset{}
+	for _, tx := range d.Transactions {
+		items := make([]core.Item, len(tx.Items))
+		for i, it := range tx.Items {
+			items[i] = it + 1000
+		}
+		shifted.Transactions = append(shifted.Transactions, core.Transaction{ID: tx.ID, Items: items})
+	}
+	if _, err := core.MineAutoResume(context.Background(), shifted, opts, cp); !errors.Is(err, core.ErrCheckpoint) {
+		t.Fatalf("foreign C_1 items: %v", err)
+	}
+}
+
 // TestCheckpointWriteFailureNonFatal points the checkpoint directory
 // under a regular file so every write fails: the mine must finish with
 // the right answer, report the failure through OnError exactly once

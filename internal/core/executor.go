@@ -434,10 +434,11 @@ func (s *execStepper) init(minSup int64) ([]ItemsetCount, iterSizes, error) {
 	salesRows := int64(len(mem))
 	s.salesTotal = salesRows
 
-	// C_1: counts per item require the key column sorted on item code.
-	// The rows are resident at this point either way (building R_1 needs
-	// them); the spilled regime only bounds the *additional* working set,
-	// streaming the keys through budget-bounded counters.
+	// C_1: resident, a histogram over the item codes counted straight
+	// off R_1 (every code occurs in R_1, so the table never has more
+	// entries than R_1 has rows). Spilled, the paper's sort of R_1 on
+	// item: the keys stream through budget-bounded counters that spill
+	// sorted runs and merge them.
 	var skips int64
 	var ck pkCounts
 	var err error
@@ -447,12 +448,7 @@ func (s *execStepper) init(minSup int64) ([]ItemsetCount, iterSizes, error) {
 			return nil, iterSizes{}, err
 		}
 	} else {
-		keys := growU64(s.ar.keys, len(mem))
-		s.ar.keys = keys
-		for i, r := range mem {
-			keys[i] = r.Key
-		}
-		ck = s.countKeysResident(keys, s.countSup(minSup), plan.Workers, &skips)
+		ck = s.countResident(mem, uint64(len(s.dict.items)), s.countSup(minSup), plan.Workers, &skips)
 	}
 	ck = s.splitBorder(ck, minSup)
 	c1 := decodePatterns(ck, 1, s.dict)
@@ -536,15 +532,10 @@ func (s *execStepper) stepResident(k int, minSup int64, plan IterPlan) ([]Itemse
 	rk := s.rk.flatten()
 	join := s.join.flatten()
 
-	var skips int64
-	// sort R_{k-1} on (trans_id, items): the previous filter preserved
-	// that order, so the pre-scan almost always skips this sort.
-	if prowsSorted(rk) {
-		skips++
-	} else {
-		s.ar.rowsTmp = growProws(s.ar.rowsTmp, len(rk))
-		xsort.RadixSortRows(rk, s.ar.rowsTmp)
-	}
+	// sort R_{k-1} on (trans_id, items): every producer of R_{k-1} —
+	// packSales, the extension and the filter — emits rows in that order,
+	// so the sort is provably redundant.
+	skips := int64(1)
 
 	// R'_k := merge-scan(R_{k-1}, R_1).
 	var rPrime []prow
@@ -555,14 +546,9 @@ func (s *execStepper) stepResident(k int, minSup int64, plan IterPlan) ([]Itemse
 	}
 	s.ar.ext = rPrime
 
-	// C_k: sort a copy of the key column, count runs, apply the support
-	// threshold.
-	keys := growU64(s.ar.keys, len(rPrime))
-	s.ar.keys = keys
-	for i, r := range rPrime {
-		keys[i] = r.Key
-	}
-	ck := s.splitBorder(s.countKeysResident(keys, s.countSup(minSup), plan.Workers, &skips), minSup)
+	// C_k: count the keys (by histogram over a narrow key domain, else
+	// by sorting a copy of the key column), apply the support threshold.
+	ck := s.splitBorder(s.countResident(rPrime, s.dict.keyDomain(k), s.countSup(minSup), plan.Workers, &skips), minSup)
 	cOut := decodePatterns(ck, k, s.dict)
 
 	// R_k := filter R'_k by C_k. Filtering preserves (trans_id, items)
@@ -588,21 +574,16 @@ func (s *execStepper) stepResident(k int, minSup int64, plan IterPlan) ([]Itemse
 	return cOut, sz, nil
 }
 
-// countKeysResident sorts the resident key column (unless already
-// ordered) and produces the packed C_k at minSup, reusing the arena's
-// buffers — the in-RAM count kernel shared with the old memory stepper.
-func (s *execStepper) countKeysResident(keys []uint64, minSup int64, workers int, skips *int64) pkCounts {
+// countResident produces the packed C_k of resident rows at minSup into
+// the stepper's reused C_k buffer (see countRows). Only a key domain
+// wider than the row count, on a plan that fans out, sorts and counts
+// key-column chunks concurrently.
+func (s *execStepper) countResident(rows []prow, domain uint64, minSup int64, workers int, skips *int64) pkCounts {
 	dst := pkCounts{keys: s.ck.keys[:0], counts: s.ck.counts[:0]}
-	if workers > 1 && len(keys) >= parallelMinRows {
-		dst = countKeysParallel(keys, minSup, workers, s.ar, dst, skips)
+	if domain > uint64(len(rows)) && workers > 1 && len(rows) >= parallelMinRows {
+		dst = countKeysParallel(keyColumn(rows, s.ar), minSup, workers, s.ar, dst, skips)
 	} else {
-		if keysSorted(keys) {
-			*skips++
-		} else {
-			s.ar.keysTmp = growU64(s.ar.keysTmp, len(keys))
-			xsort.RadixSortU64(keys, s.ar.keysTmp)
-		}
-		dst = packedCountRuns(keys, minSup, dst)
+		dst = countRows(rows, domain, minSup, s.ar, dst, skips)
 	}
 	s.ck = dst
 	return dst
@@ -1240,6 +1221,11 @@ func (s *execStepper) resume(cp *Checkpoint) (iterSizes, error) {
 	var sales *srel
 	var err error
 	if s.opts.PrefilterSales {
+		for _, c := range cp.Counts[0] {
+			if len(c.Items) != 1 || !s.dict.contains(c.Items[0]) {
+				return iterSizes{}, fmt.Errorf("%w: C_1 entry %v is not an item of the dataset", ErrCheckpoint, c.Items)
+			}
+		}
 		ck := encodeCounts(cp.Counts[0], s.dict)
 		if plan.Regime == RegimeSpilled {
 			sales, err = s.filterMemStreaming(mem, 1, ck, plan)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"math"
 	"slices"
 	"testing"
 
@@ -47,23 +48,40 @@ func fuzzDataset(data []byte) *Dataset {
 	return d
 }
 
-// FuzzMine asserts on arbitrary transaction data:
+// shiftItems adds base to every item of d, wrapping at the ends of
+// int64: a base near math.MaxInt64 puts the dataset's items at both ends
+// of the id range (a sparse dictionary), one near math.MinInt64 packs
+// them next to it (a dense one).
+func shiftItems(d *Dataset, base int64) {
+	for _, tx := range d.Transactions {
+		for i := range tx.Items {
+			tx.Items[i] += base
+		}
+	}
+}
+
+// FuzzMine asserts on arbitrary transaction data, its items shifted by
+// base:
 //
 //  1. no driver panics;
 //  2. C_1 matches a naive oracle (per-item distinct-transaction counts);
 //  3. the parallel and partitioned drivers return counts bit-identical
 //     to the serial driver.
 func FuzzMine(f *testing.F) {
-	f.Add([]byte{1, 2, 3, 0, 1, 2, 0, 1, 3, 0, 2, 3}, uint8(2), uint8(2))
-	f.Add([]byte{5, 5, 5, 0, 5}, uint8(1), uint8(3))
-	f.Add([]byte{10, 20, 30, 40, 50, 0, 10, 20, 30, 0, 10, 20}, uint8(2), uint8(1))
-	f.Add([]byte{1}, uint8(1), uint8(0))
-	f.Add([]byte{255, 254, 253, 0, 255, 254, 0, 255}, uint8(3), uint8(7))
-	f.Fuzz(func(t *testing.T, data []byte, minSup, shards uint8) {
+	f.Add([]byte{1, 2, 3, 0, 1, 2, 0, 1, 3, 0, 2, 3}, uint8(2), uint8(2), int64(0))
+	f.Add([]byte{5, 5, 5, 0, 5}, uint8(1), uint8(3), int64(0))
+	f.Add([]byte{10, 20, 30, 40, 50, 0, 10, 20, 30, 0, 10, 20}, uint8(2), uint8(1), int64(0))
+	f.Add([]byte{1}, uint8(1), uint8(0), int64(0))
+	f.Add([]byte{255, 254, 253, 0, 255, 254, 0, 255}, uint8(3), uint8(7), int64(0))
+	f.Add([]byte{1, 2, 3, 0, 1, 2, 0, 1, 3, 0, 2, 3}, uint8(1), uint8(2), int64(math.MinInt64))
+	f.Add([]byte{1, 200, 3, 0, 1, 200, 0, 200, 3, 0, 2, 3}, uint8(1), uint8(3), int64(math.MaxInt64-100))
+	f.Add([]byte{255, 1, 0, 255, 1, 128, 0, 1}, uint8(2), uint8(1), int64(math.MaxInt64-1))
+	f.Fuzz(func(t *testing.T, data []byte, minSup, shards uint8, base int64) {
 		d := fuzzDataset(data)
 		if d == nil {
 			return
 		}
+		shiftItems(d, base)
 		opts := Options{
 			MinSupportCount: int64(minSup%8) + 1,
 			MaxPatternLen:   5,
@@ -130,14 +148,17 @@ func FuzzMine(f *testing.F) {
 }
 
 // FuzzPackedKernels cross-checks the packed kernels against the generic
-// int64 kernels at the relation level: arbitrary rows are packed, then
+// int64 kernels at the relation level: arbitrary rows, their items
+// shifted by base (wrapping at the ends of int64), are packed, then
 // sort / count / filter must round-trip to exactly what relation.go
 // computes.
 func FuzzPackedKernels(f *testing.F) {
-	f.Add([]byte{1, 5, 3, 2, 4, 1, 1, 5, 3}, uint8(2), uint8(2))
-	f.Add([]byte{9, 9, 9, 9, 9, 9, 9, 9}, uint8(1), uint8(1))
-	f.Add([]byte{3, 200, 100, 3, 200, 100, 7, 1, 2}, uint8(3), uint8(2))
-	f.Fuzz(func(t *testing.T, data []byte, kRaw, minSupRaw uint8) {
+	f.Add([]byte{1, 5, 3, 2, 4, 1, 1, 5, 3}, uint8(2), uint8(2), int64(0))
+	f.Add([]byte{9, 9, 9, 9, 9, 9, 9, 9}, uint8(1), uint8(1), int64(0))
+	f.Add([]byte{3, 200, 100, 3, 200, 100, 7, 1, 2}, uint8(3), uint8(2), int64(0))
+	f.Add([]byte{1, 5, 3, 2, 4, 1, 1, 5, 3, 2, 4, 1}, uint8(0), uint8(0), int64(math.MinInt64+8))
+	f.Add([]byte{3, 20, 10, 3, 20, 10, 7, 1, 2, 7, 20, 1}, uint8(1), uint8(1), int64(math.MaxInt64-4))
+	f.Fuzz(func(t *testing.T, data []byte, kRaw, minSupRaw uint8, base int64) {
 		k := int(kRaw%3) + 1
 		st := k + 1
 		n := len(data) / st
@@ -156,7 +177,7 @@ func FuzzPackedKernels(f *testing.F) {
 			row := data[i*st : (i+1)*st]
 			rel.data = append(rel.data, int64(row[0]%13)-2)
 			for c := 1; c < st; c++ {
-				rel.data = append(rel.data, int64(row[c]%24)-8)
+				rel.data = append(rel.data, int64(row[c]%24)-8+base)
 			}
 		}
 
@@ -198,6 +219,12 @@ func FuzzPackedKernels(f *testing.F) {
 			t.Fatal("radixSortU64 left keys unsorted")
 		}
 		pk := packedCountRuns(keys, minSup, pkCounts{})
+		if domain := dict.keyDomain(k); domain <= 1<<16 {
+			hist := packedCountHist(rows, make([]uint64, domain), minSup, pkCounts{})
+			if !slices.Equal(hist.keys, pk.keys) || !slices.Equal(hist.counts, pk.counts) {
+				t.Fatalf("histogram count %v/%v, sort count %v/%v", hist.keys, hist.counts, pk.keys, pk.counts)
+			}
+		}
 		got := decodePatterns(pk, k, dict)
 		want, _ := countPatterns(rel, minSup, 1)
 		if len(got) != len(want) {

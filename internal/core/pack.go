@@ -1,25 +1,34 @@
 package core
 
 // The packed-key execution engine. At mine start item ids are
-// dictionary-encoded into a dense domain (newPackDict); while
+// dictionary-encoded into a dense domain (buildDict, newPackDict): when
+// the ids span at most about four entries per SALES row, a presence
+// sweep over a direct-address table yields the ascending items and the
+// table then maps an item to its code in one load; wider id spaces
+// radix-sort the occurrences and binary-search the items instead. While
 // k*bitsPerItem fits one 64-bit word, an R'_k row is a (trans_id, key)
 // pair with the whole pattern bit-packed into the key — item_1 in the
 // most significant bits — so unsigned integer order on keys equals
 // lexicographic order on patterns. The per-iteration kernels then
 // collapse:
 //
-//   - the paper's sorts become byte-wise LSD radix passes over a single
-//     column, or are skipped outright when a pre-scan proves the input
-//     already ordered (the common case: extension and filtering both
-//     preserve (trans_id, items) order);
-//   - run counting is integer equality instead of per-column compares;
-//   - the support filter is a binary search over the packed C_k keys.
+//   - the paper's sort of R_{k-1} on (trans_id, items) is skipped: packed
+//     SALES, the extension and the filter all emit rows in that order
+//     (packSales checks the transaction ids and sorts only when they are
+//     not strictly increasing);
+//   - counting C_k is a histogram over the key domain when it has no more
+//     entries than there are keys (always for C_1), swept in key order;
+//     a wider domain sorts the key column with byte-wise LSD radix passes
+//     and counts runs by integer equality;
+//   - the support filter is an O(1) bitmap probe over a narrow key space,
+//     else a binary search over the packed C_k keys.
 //
 // Patterns too wide to pack (k*bitsPerItem > 64) fall back mid-run to
 // the generic int64 relation kernels of relation.go, which also remain
 // the conformance oracle behind Options.DisablePackedKernels.
 
 import (
+	"math"
 	"math/bits"
 	"slices"
 
@@ -41,29 +50,94 @@ type prow = storage.PackedRow
 
 // packDict is the order-preserving dense item dictionary: code i stands
 // for the i-th smallest distinct item, so code order equals item order.
+// When the item ids span a narrow enough range (denseSpan), dense maps
+// item-lo straight to the item's code; otherwise code binary-searches
+// items.
 type packDict struct {
-	items []int64 // code -> item, ascending
-	bits  uint    // bits per item code (>= 1)
+	items []int64  // code -> item, ascending
+	bits  uint     // bits per item code (>= 1)
+	lo    int64    // smallest item: dense[item-lo] is the item's code
+	dense []uint32 // item - lo -> code; nil for a sparse id space
 }
 
-// newPackDict builds a dictionary from the ascending distinct item list.
-func newPackDict(sortedDistinct []int64) *packDict {
-	b := uint(1)
-	if n := len(sortedDistinct); n > 1 {
-		b = uint(bits.Len64(uint64(n - 1)))
+// denseSlackPerRow and denseSlack bound a direct-address code table to
+// 4*rows+64 entries of 4 bytes: never more RAM than the rows it codes
+// (R_1 rows are 16 bytes).
+const (
+	denseSlackPerRow = 4
+	denseSlack       = 64
+)
+
+// denseSpan returns the entry count hi-lo+1 of a direct-address table
+// over the ids [lo, hi] (lo <= hi) coding rows occurrences, and whether
+// the span is narrow enough to build one. The span is computed in
+// uint64 and compared without the +1, so ids at math.MinInt64 and
+// math.MaxInt64 cannot overflow it.
+func denseSpan(lo, hi int64, rows int) (int, bool) {
+	span := uint64(hi) - uint64(lo) // hi-lo+1 entries, exact modulo 2^64
+	if span >= denseSlackPerRow*uint64(rows)+denseSlack || span >= 1<<32 {
+		return 0, false
 	}
-	return &packDict{items: sortedDistinct, bits: b}
+	return int(span) + 1, true
 }
 
-// buildDict collects the distinct items of a dataset into a dictionary,
-// radix-sorting the (sign-flipped) occurrences through the arena's key
-// buffers and compacting the distinct values into the arena's dictionary
-// table. The table stays valid until the arena is released at pipeline
-// end, which outlives every use of the dictionary.
+// codeBits is the code width for n distinct items.
+func codeBits(n int) uint {
+	if n > 1 {
+		return uint(bits.Len64(uint64(n - 1)))
+	}
+	return 1
+}
+
+// newPackDict builds a dictionary from the ascending distinct item list,
+// with a freshly allocated code table when the ids are dense enough.
+func newPackDict(sortedDistinct []int64) *packDict {
+	d := &packDict{items: sortedDistinct, bits: codeBits(len(sortedDistinct))}
+	if n := len(sortedDistinct); n > 0 {
+		lo := sortedDistinct[0]
+		if span, ok := denseSpan(lo, sortedDistinct[n-1], n); ok {
+			d.lo, d.dense = lo, make([]uint32, span)
+			for c, it := range sortedDistinct {
+				d.dense[uint64(it-lo)] = uint32(c)
+			}
+		}
+	}
+	return d
+}
+
+// buildDict collects the distinct items of a dataset into a dictionary
+// backed by the arena's tables, which stay valid until the arena is
+// released at pipeline end, outliving every use of the dictionary.
+// When the id span is dense (denseSpan over all occurrences) a presence
+// sweep over the code table yields the items in ascending order;
+// otherwise the (sign-flipped) occurrences are radix-sorted and
+// compacted.
 func buildDict(d *Dataset, ar *mineArena) *packDict {
 	total := 0
+	lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
 	for _, tx := range d.Transactions {
 		total += len(tx.Items)
+		for _, it := range tx.Items {
+			lo, hi = min(lo, it), max(hi, it)
+		}
+	}
+	items := ar.dictBuf[:0]
+	if span, ok := denseSpan(lo, hi, total); ok && total > 0 {
+		table := growU32(ar.codes, span)
+		clear(table)
+		for _, tx := range d.Transactions {
+			for _, it := range tx.Items {
+				table[uint64(it-lo)] = 1
+			}
+		}
+		for i, present := range table {
+			if present != 0 {
+				table[i] = uint32(len(items))
+				items = append(items, lo+int64(i))
+			}
+		}
+		ar.codes, ar.dictBuf = table, items
+		return &packDict{items: items, bits: codeBits(len(items)), lo: lo, dense: table}
 	}
 	ar.keys = growU64(ar.keys, total)
 	all := ar.keys[:0]
@@ -74,7 +148,6 @@ func buildDict(d *Dataset, ar *mineArena) *packDict {
 	}
 	ar.keysTmp = growU64(ar.keysTmp, len(all))
 	xsort.RadixSortU64(all, ar.keysTmp)
-	items := ar.dictBuf[:0]
 	var prev uint64
 	for i, v := range all {
 		if i == 0 || v != prev {
@@ -83,21 +156,54 @@ func buildDict(d *Dataset, ar *mineArena) *packDict {
 		}
 	}
 	ar.dictBuf = items
-	return newPackDict(items)
+	return &packDict{items: items, bits: codeBits(len(items))}
 }
 
 // code returns the dense code of an item known to be in the dictionary.
 func (d *packDict) code(item int64) uint64 {
+	if d.dense != nil {
+		return uint64(d.dense[uint64(item-d.lo)])
+	}
+	return d.searchCode(item)
+}
+
+// searchCode is code for a sparse id space: a binary search of items.
+// Kept out of line so that code, the dense table lookup, inlines.
+//
+//go:noinline
+func (d *packDict) searchCode(item int64) uint64 {
 	i, _ := slices.BinarySearch(d.items, item)
 	return uint64(i)
+}
+
+// contains reports whether item is in the dictionary.
+func (d *packDict) contains(item int64) bool {
+	if d.dense != nil {
+		i := uint64(item - d.lo)
+		return i < uint64(len(d.dense)) && d.items[d.dense[i]] == item
+	}
+	_, ok := slices.BinarySearch(d.items, item)
+	return ok
 }
 
 // maxPackedK is the longest pattern length one key can hold.
 func (d *packDict) maxPackedK() int { return int(64 / d.bits) }
 
+// keyDomain is the size of the k-item key space, 1 << (k*bits),
+// saturated at math.MaxUint64 for a full-width key.
+func (d *packDict) keyDomain(k int) uint64 {
+	if kb := uint(k) * d.bits; kb < 64 {
+		return 1 << kb
+	}
+	return math.MaxUint64
+}
+
 // packSales builds the packed R_1 = SALES(trans_id, item code), items
 // deduplicated per transaction and rows globally sorted by
-// (trans_id, code) — the packed twin of salesRelation.
+// (trans_id, code) — the packed twin of salesRelation. Each basket's
+// codes are sorted, so strictly increasing transaction ids make the
+// rows ordered by construction; only other id orders pay the row scan
+// and, when it fails, a radix sort.
 func packSales(d *Dataset, dict *packDict, ar *mineArena) []prow {
 	total := 0
 	for _, tx := range d.Transactions {
@@ -106,7 +212,11 @@ func packSales(d *Dataset, dict *packDict, ar *mineArena) []prow {
 	ar.salesBuf = growProws(ar.salesBuf, total)
 	rows := ar.salesBuf[:0]
 	scratch := ar.txItems[:0]
-	for _, tx := range d.Transactions {
+	tidsAscending := true
+	for t, tx := range d.Transactions {
+		if t > 0 && tx.ID <= d.Transactions[t-1].ID {
+			tidsAscending = false
+		}
 		scratch = scratch[:0]
 		for _, it := range tx.Items {
 			scratch = append(scratch, dict.code(it))
@@ -133,7 +243,7 @@ func packSales(d *Dataset, dict *packDict, ar *mineArena) []prow {
 	}
 	ar.txItems = scratch
 	ar.salesBuf = rows
-	if !prowsSorted(rows) {
+	if !tidsAscending && !prowsSorted(rows) {
 		ar.rowsTmp = growProws(ar.rowsTmp, len(rows))
 		xsort.RadixSortRows(rows, ar.rowsTmp)
 	}
@@ -227,6 +337,57 @@ func packedCountRuns(keys []uint64, minSup int64, dst pkCounts) pkCounts {
 		i = j
 	}
 	return dst
+}
+
+// packedCountHist counts the keys of rows in the direct-address table
+// hist, one counter per key of the domain, and appends one (key, count)
+// per key meeting minSup to dst by sweeping the table in ascending key
+// order — exactly packedCountRuns' output over the sorted key column,
+// without copying or sorting it. Every key must be below len(hist).
+func packedCountHist(rows []prow, hist []uint64, minSup int64, dst pkCounts) pkCounts {
+	clear(hist)
+	for _, r := range rows {
+		hist[r.Key]++
+	}
+	for key, c := range hist {
+		if c != 0 && int64(c) >= minSup {
+			dst.keys = append(dst.keys, uint64(key))
+			dst.counts = append(dst.counts, int64(c))
+		}
+	}
+	return dst
+}
+
+// countRows produces the packed C_k of rows at minSup, serially. When
+// the key domain (keys lie in [0, domain)) has no more entries than
+// there are rows, a histogram in the arena's key buffer counts straight
+// off the rows and the sort is skipped; a wider domain copies the key
+// column, sorts it unless it is already ordered, and scans its runs.
+// Skipped sorts are tallied in skips.
+func countRows(rows []prow, domain uint64, minSup int64, ar *mineArena, dst pkCounts, skips *int64) pkCounts {
+	if domain <= uint64(len(rows)) {
+		ar.keys = growU64(ar.keys, int(domain))
+		*skips++
+		return packedCountHist(rows, ar.keys, minSup, dst)
+	}
+	keys := keyColumn(rows, ar)
+	if keysSorted(keys) {
+		*skips++
+	} else {
+		ar.keysTmp = growU64(ar.keysTmp, len(keys))
+		xsort.RadixSortU64(keys, ar.keysTmp)
+	}
+	return packedCountRuns(keys, minSup, dst)
+}
+
+// keyColumn copies the keys of rows into the arena's key buffer.
+func keyColumn(rows []prow, ar *mineArena) []uint64 {
+	keys := growU64(ar.keys, len(rows))
+	ar.keys = keys
+	for i, r := range rows {
+		keys[i] = r.Key
+	}
+	return keys
 }
 
 // mergePackedCounts merges per-chunk (or per-shard) packed count lists,

@@ -26,8 +26,8 @@ type PagedConfig struct {
 	// storage.FaultStore in failure-injection tests.
 	Store storage.Store
 	// UseHashJoin replaces the merge-scan extension join with an in-memory
-	// hash join (DESIGN.md ablation: it drops the sort before the join but
-	// must hold one join side in memory, surrendering the bounded-memory
+	// hash join (an ablation: it drops the sort before the join but must
+	// hold one join side in memory, surrendering the bounded-memory
 	// property the paper's formulation has).
 	UseHashJoin bool
 	// UseHashGroup replaces the sort + sequential count scan with hash

@@ -132,11 +132,7 @@ func (s *partitionStepper) init(minSup int64) ([]ItemsetCount, iterSizes, error)
 				defer wg.Done()
 				sh.ar = newMineArena()
 				sh.psales = packSales(&Dataset{Transactions: groups[i]}, s.dict, sh.ar)
-				sh.countLocal(len(sh.psales), func(keys []uint64) {
-					for r, row := range sh.psales {
-						keys[r] = row.Key
-					}
-				})
+				sh.countLocal(sh.psales, uint64(len(s.dict.items)))
 			}(i, sh)
 		}
 		wg.Wait()
@@ -258,24 +254,14 @@ func (s *partitionStepper) step(k int, minSup int64) ([]ItemsetCount, iterSizes,
 // shards extend and count locally, exchange packed flat counts, and
 // filter by the merged C_k.
 func (s *partitionStepper) stepPacked(k int, minSup int64) ([]ItemsetCount, iterSizes, error) {
-	// Local pass: sort (usually skipped — filtering preserved order),
-	// extend, and count candidates without any support filter — a locally
-	// rare pattern may be globally frequent.
+	// Local pass: sort (skipped — packSales and the filter emit rows in
+	// (trans_id, items) order), extend, and count candidates without any
+	// support filter — a locally rare pattern may be globally frequent.
 	s.forEachShard(func(sh *partitionShard) {
-		sh.skips = 0
-		if prowsSorted(sh.prk) {
-			sh.skips++
-		} else {
-			sh.ar.rowsTmp = growProws(sh.ar.rowsTmp, len(sh.prk))
-			xsort.RadixSortRows(sh.prk, sh.ar.rowsTmp)
-		}
+		sh.skips = 1
 		sh.pext = packedExtend(sh.prk, sh.pjoin, s.dict.bits, sh.ar.ext[:0])
 		sh.ar.ext = sh.pext
-		sh.countLocal(len(sh.pext), func(keys []uint64) {
-			for r, row := range sh.pext {
-				keys[r] = row.Key
-			}
-		})
+		sh.countLocal(sh.pext, s.dict.keyDomain(k))
 	})
 
 	// Global pass: merge the packed shard counts into C_k.
@@ -310,20 +296,10 @@ func (s *partitionStepper) stepPacked(k int, minSup int64) ([]ItemsetCount, iter
 	return cOut, sz, nil
 }
 
-// countLocal sorts a shard's key column (reusing its arena) and counts
-// runs without a threshold into the shard's exchange buffer (ar.ck).
-// fill copies the key column into the arena-backed slice.
-func (sh *partitionShard) countLocal(n int, fill func(keys []uint64)) {
-	keys := growU64(sh.ar.keys, n)
-	sh.ar.keys = keys
-	fill(keys)
-	if keysSorted(keys) {
-		sh.skips++
-	} else {
-		sh.ar.keysTmp = growU64(sh.ar.keysTmp, n)
-		xsort.RadixSortU64(keys, sh.ar.keysTmp)
-	}
-	sh.ar.ck = packedCountRuns(keys, 1, pkCounts{keys: sh.ar.ck.keys[:0], counts: sh.ar.ck.counts[:0]})
+// countLocal counts a shard's rows without a threshold into the
+// shard's exchange buffer (ar.ck), reusing its arena (see countRows).
+func (sh *partitionShard) countLocal(rows []prow, domain uint64) {
+	sh.ar.ck = countRows(rows, domain, 1, sh.ar, pkCounts{keys: sh.ar.ck.keys[:0], counts: sh.ar.ck.counts[:0]}, &sh.skips)
 }
 
 // mergeShardCounts merges every shard's packed count list into the

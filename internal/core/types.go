@@ -90,8 +90,8 @@ type Options struct {
 	MaxPatternLen int
 	// PrefilterSales joins R_{k-1} with a SALES relation restricted to
 	// frequent items instead of the full one. The paper's Figure 4 joins
-	// with the unfiltered R_1; this flag is the ablation discussed in
-	// DESIGN.md.
+	// with the unfiltered R_1 (Section 6.1); this flag is the ablation
+	// BenchmarkAblationPrefilter measures.
 	PrefilterSales bool
 	// DisablePackedKernels makes the memory, parallel, and partitioned
 	// drivers run on the generic int64 relation kernels instead of the
@@ -203,7 +203,9 @@ type IterationStat struct {
 	// SortsSkipped counts the paper-mandated sorts of this iteration that
 	// the engine proved unnecessary — the input was already ordered (or
 	// provably order-preserving), so the sortedness fast path skipped the
-	// sort while keeping the paper-faithful call sites.
+	// sort while keeping the paper-faithful call sites. A count taken by
+	// histogram over the key domain, which needs no sorted key column,
+	// counts as a skipped sort too.
 	SortsSkipped int64
 	// RunsSpilled counts the sorted packed-page runs this iteration wrote
 	// through the buffer pool because a relation, key column, or count

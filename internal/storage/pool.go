@@ -2,9 +2,14 @@ package storage
 
 import (
 	"container/list"
+	"errors"
 	"fmt"
 	"sync"
 )
+
+// ErrPoolExhausted is returned, wrapped with the pool's frame count, when
+// a page must enter the pool but every frame holds a pinned page.
+var ErrPoolExhausted = errors.New("storage: buffer pool exhausted")
 
 // Stats tallies logical page I/O through a buffer pool. "Random" versus
 // "sequential" follows the paper's distinction: a read is sequential when it
@@ -267,7 +272,7 @@ func (p *Pool) evictIfFull() error {
 			}
 		}
 		if victim == nil {
-			return fmt.Errorf("storage: buffer pool exhausted (%d frames, all pinned)", p.capacity)
+			return fmt.Errorf("%w (%d frames, all pinned)", ErrPoolExhausted, p.capacity)
 		}
 		pg := victim.Value.(*lruEntry).page
 		if pg.dirty {

@@ -1,6 +1,8 @@
 package storage
 
 import (
+	"errors"
+	"strings"
 	"testing"
 )
 
@@ -107,6 +109,43 @@ func TestPoolAllPinnedFails(t *testing.T) {
 	_ = pg // keep pinned
 	if _, err := p.Allocate(); err == nil {
 		t.Error("allocation succeeded with all frames pinned")
+	}
+}
+
+// TestPoolExhaustedSentinel pins every frame and checks that both ways a
+// page enters the pool — Allocate and a Fetch miss — fail with the named
+// sentinel carrying the frame count, and that one Unpin frees a frame.
+func TestPoolExhaustedSentinel(t *testing.T) {
+	const frames = 4
+	m := NewMemStore()
+	p := NewPool(m, frames)
+	var pinned []*Page
+	for i := 0; i < frames; i++ {
+		pg, err := p.Allocate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		pinned = append(pinned, pg)
+	}
+	if got := p.PinnedFrames(); got != frames {
+		t.Fatalf("PinnedFrames = %d, want %d", got, frames)
+	}
+	outside, err := m.Allocate() // a page the pool has never cached
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, allocErr := p.Allocate()
+	_, fetchErr := p.Fetch(outside)
+	for name, err := range map[string]error{"Allocate": allocErr, "Fetch": fetchErr} {
+		if !errors.Is(err, ErrPoolExhausted) {
+			t.Errorf("%s: err = %v, want ErrPoolExhausted", name, err)
+		} else if !strings.Contains(err.Error(), "4 frames") {
+			t.Errorf("%s: err = %q does not name the frame count", name, err)
+		}
+	}
+	p.Unpin(pinned[0])
+	if _, err := p.Fetch(outside); err != nil {
+		t.Fatalf("Fetch after Unpin: %v", err)
 	}
 }
 
