@@ -269,8 +269,9 @@ type benchRecord struct {
 	Params string `json:"params"`
 	// CPUs and Workers pin the parallelism the measurement ran at
 	// (GOMAXPROCS at record time; the explicit worker option, 0 = driver
-	// default). The trajectory gate only compares like-for-like: a record
-	// taken at different parallelism is skipped, not diffed. Legacy files
+	// default — only the retired sql/parallel ladder of older files set
+	// it). The trajectory gate only compares like-for-like: a record taken
+	// at different parallelism is skipped, not diffed. Legacy files
 	// without the fields (zero values) stay comparable.
 	CPUs    int   `json:"cpus,omitempty"`
 	Workers int   `json:"workers,omitempty"`
@@ -328,58 +329,48 @@ func writeBenchJSON(path string, d *core.Dataset, seed int64, repeats int, memBu
 			return core.MineAuto(d, o)
 		}
 	}
-	sqlAt := func(workers int) func(*core.Dataset, core.Options) (*core.Result, error) {
-		return func(d *core.Dataset, o core.Options) (*core.Result, error) {
-			o.MaxWorkers = workers
-			return core.MineSQL(d, o, core.SQLConfig{})
-		}
-	}
 	variants := []struct {
-		name    string
-		opts    core.Options
-		workers int
-		mine    func(*core.Dataset, core.Options) (*core.Result, error)
+		name string
+		opts core.Options
+		mine func(*core.Dataset, core.Options) (*core.Result, error)
 	}{
-		{"mine/packed", base, 0, core.MineMemory},
-		{"mine/generic", generic, 0, core.MineMemory},
-		{"parallel/packed", base, 0, func(d *core.Dataset, o core.Options) (*core.Result, error) {
+		{"mine/packed", base, core.MineMemory},
+		{"mine/generic", generic, core.MineMemory},
+		{"parallel/packed", base, func(d *core.Dataset, o core.Options) (*core.Result, error) {
 			return core.MineParallel(d, o, 0)
 		}},
-		{"partitioned/packed", base, 0, func(d *core.Dataset, o core.Options) (*core.Result, error) {
+		{"partitioned/packed", base, func(d *core.Dataset, o core.Options) (*core.Result, error) {
 			return core.MinePartitioned(d, o, 0)
 		}},
-		{"sql/vectorized", base, 0, sqlAt(0)},
-		// The intra-query parallelism ladder for the SQL executor: the
-		// same mine forced to 1, 2, and 4 workers, so the exchange
-		// substrate's scaling (or its cost on a small box) is tracked.
-		{"sql/parallel-1", base, 1, sqlAt(1)},
-		{"sql/parallel-2", base, 2, sqlAt(2)},
-		{"sql/parallel-4", base, 4, sqlAt(4)},
+		// The SQL engine plans serially: one record covers MineSQL at any
+		// worker count.
+		{"sql/vectorized", base, func(d *core.Dataset, o core.Options) (*core.Result, error) {
+			return core.MineSQL(d, o, core.SQLConfig{})
+		}},
 		// The 1 MB rung is also the driver default (256 pool frames x
 		// 4 KB pages), so no separate default record is needed.
-		{"paged/packed-unlimited", base, 0, pagedAt(-1)},
-		{"paged/packed-16MB", base, 0, pagedAt(16 << 20)},
-		{"paged/packed-1MB", base, 0, pagedAt(1 << 20)},
-		{"paged/generic", generic, 0, pagedAt(0)},
+		{"paged/packed-unlimited", base, pagedAt(-1)},
+		{"paged/packed-16MB", base, pagedAt(16 << 20)},
+		{"paged/packed-1MB", base, pagedAt(1 << 20)},
+		{"paged/generic", generic, pagedAt(0)},
 		// The auto-vs-fixed ladder: the adaptive executor at the same
 		// budgets as the fixed paged driver, so the planner's wins (and
 		// its per-iteration plans, recorded below) are tracked per PR.
-		{"auto/unlimited", base, 0, core.MineAuto},
-		{"auto/16MB", base, 0, autoAt(16 << 20)},
-		{"auto/1MB", base, 0, autoAt(1 << 20)},
+		{"auto/unlimited", base, core.MineAuto},
+		{"auto/16MB", base, autoAt(16 << 20)},
+		{"auto/1MB", base, autoAt(1 << 20)},
 	}
 	if memBudget != 0 {
 		variants = append(variants, struct {
-			name    string
-			opts    core.Options
-			workers int
-			mine    func(*core.Dataset, core.Options) (*core.Result, error)
-		}{fmt.Sprintf("paged/packed-membudget=%d", memBudget), base, 0, pagedAt(memBudget)})
+			name string
+			opts core.Options
+			mine func(*core.Dataset, core.Options) (*core.Result, error)
+		}{fmt.Sprintf("paged/packed-membudget=%d", memBudget), base, pagedAt(memBudget)})
 	}
 	params := fmt.Sprintf("txns=%d minsup=0.1%%", d.NumTransactions())
 	recs := make([]benchRecord, 0, len(variants))
 	for _, v := range variants {
-		rec := benchRecord{Name: v.name, Params: params, Workers: v.workers}
+		rec := benchRecord{Name: v.name, Params: params}
 		var ms0, ms1 runtime.MemStats
 		for r := 0; r < repeats; r++ {
 			runtime.ReadMemStats(&ms0)

@@ -148,6 +148,8 @@ func conformanceMiners() []minerFn {
 		{"sql", func(d *core.Dataset, o core.Options) (*core.Result, error) {
 			return core.MineSQL(d, o, core.SQLConfig{})
 		}},
+		// The engine's plans are serial: MaxWorkers must be ignored
+		// without changing any count.
 		{"sql-parallel-4", func(d *core.Dataset, o core.Options) (*core.Result, error) {
 			o.MaxWorkers = 4
 			return core.MineSQL(d, o, core.SQLConfig{})

@@ -204,7 +204,8 @@ func TestAutoRecordsPlans(t *testing.T) {
 // TestFixedDriversRecordPlans pins the wrappers' fixed plans in the
 // stats: Mine is packed/resident/1w, MineParallel carries its worker
 // count, MinePaged is spilled under its default budget, and the
-// partitioned driver reports the sharded exchange.
+// partitioned driver reports the sharded exchange. MineSQL is
+// sql/spilled/1w at every k.
 func TestFixedDriversRecordPlans(t *testing.T) {
 	d := PaperExample()
 	opts := Options{MinSupportFrac: 0.3}
@@ -241,12 +242,25 @@ func TestFixedDriversRecordPlans(t *testing.T) {
 		t.Errorf("MinePartitioned plan = %+v", p)
 	}
 
-	sqlRes, err := MineSQL(d, opts, SQLConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p := sqlRes.Stats[0].Plan; p.Kernel != KernelSQL {
-		t.Errorf("MineSQL plan = %+v", p)
+	// The engine's plans are serial, so MineSQL reports one serial plan at
+	// every k whatever MaxWorkers asks for; the sharded exchange belongs
+	// to the partitioned driver alone.
+	want := IterPlan{Kernel: KernelSQL, Regime: RegimeSpilled, Workers: 1, Exchange: ExchangeNone}
+	for _, workers := range []int{1, 4} {
+		o := opts
+		o.MaxWorkers = workers
+		sqlRes, err := MineSQL(d, o, SQLConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(sqlRes.Stats) < 2 {
+			t.Fatalf("MineSQL ran %d iterations, want several", len(sqlRes.Stats))
+		}
+		for _, st := range sqlRes.Stats {
+			if st.Plan != want {
+				t.Errorf("MineSQL MaxWorkers=%d k=%d plan = %+v, want %+v", workers, st.K, st.Plan, want)
+			}
+		}
 	}
 }
 

@@ -240,7 +240,8 @@ func (s *pagedStepper) step(k int, minSup int64) ([]ItemsetCount, iterSizes, err
 
 // countRelation produces C_k from an (unsorted) relation: the paper's way
 // is sort-on-items plus a sequential count scan; the hash ablation uses
-// hash aggregation and sorts only the (small) result. sortMem bounds the
+// hash aggregation, which sorts only the (small) set of distinct patterns
+// and emits them in C_k's canonical order. sortMem bounds the
 // external sort's run size (from the resolved memory budget).
 func countRelation(pool *storage.Pool, f *hp.File, itemCols []int, minSup int64, cfg PagedConfig, sortMem int) ([]ItemsetCount, error) {
 	if cfg.UseHashGroup {
@@ -262,8 +263,6 @@ func countRelation(pool *storage.Pool, f *hp.File, itemCols []int, minSup int64,
 			}
 			out = append(out, ItemsetCount{Items: items, Count: n})
 		}
-		// C_k is canonically ordered; hash output is not.
-		xsortCounts(out)
 		return out, nil
 	}
 	byItems, err := xsort.File(pool, f, xsort.ByColumns(itemCols...), sortMem)
@@ -271,15 +270,6 @@ func countRelation(pool *storage.Pool, f *hp.File, itemCols []int, minSup int64,
 		return nil, err
 	}
 	return countFile(byItems, itemCols, minSup)
-}
-
-// xsortCounts orders an ItemsetCount slice lexicographically.
-func xsortCounts(cs []ItemsetCount) {
-	for i := 1; i < len(cs); i++ {
-		for j := i; j > 0 && compareItems(cs[j].Items, cs[j-1].Items) < 0; j-- {
-			cs[j], cs[j-1] = cs[j-1], cs[j]
-		}
-	}
 }
 
 // countFile scans a heap file sorted on itemCols and returns the patterns

@@ -55,13 +55,7 @@ func MineSQL(d *Dataset, opts Options, cfg SQLConfig) (*Result, error) {
 			engine.WithMemBudget(opts.MemoryBudget),
 			engine.WithSortMemory(int(opts.MemoryBudget)))
 	}
-	// The adaptive executor's worker knob carries through to the engine's
-	// planner, which decides per query whether exchange operators pay.
-	workers := resolveWorkers(opts.MaxWorkers)
-	if workers > 1 {
-		dbOpts = append(dbOpts, engine.WithMaxWorkers(workers))
-	}
-	s := &sqlStepper{d: d, opts: opts, cfg: cfg, db: engine.New(dbOpts...), workers: workers}
+	s := &sqlStepper{d: d, opts: opts, cfg: cfg, db: engine.New(dbOpts...)}
 	// Bulk-load SALES before the pipeline starts timing iteration 1, so
 	// Stats[0].Duration covers the C_1 SQL alone — matching what the other
 	// drivers charge to their first iteration. The load moves columns end
@@ -97,22 +91,12 @@ type sqlStepper struct {
 	salesRows int64  // |SALES|, loaded before the pipeline starts
 	prevR     string // table name of R_{k-1} ("sales" for k=2 without prefilter)
 	stmts     map[string]*engine.Stmt
-	workers   int // planner worker cap handed to the engine
 }
 
-// sqlPlan is the SQL driver's strategy IR: the paper's statements
-// executed by the budget-aware relational engine, with up to `workers`
-// intra-query parallelism via exchange operators.
-func sqlPlan(workers int) IterPlan {
-	if workers < 1 {
-		workers = 1
-	}
-	ex := ExchangeNone
-	if workers > 1 {
-		ex = ExchangeSharded
-	}
-	return IterPlan{Kernel: KernelSQL, Regime: RegimeSpilled, Workers: workers, Exchange: ex}
-}
+// sqlPlan is the SQL driver's strategy IR: the paper's statements executed
+// by the budget-aware relational engine, whose plans are all serial
+// whatever Options.MaxWorkers says.
+var sqlPlan = IterPlan{Kernel: KernelSQL, Regime: RegimeSpilled, Workers: 1, Exchange: ExchangeNone}
 
 // run executes one statement with the :minsupport parameter bound,
 // through a per-stepper prepared-statement memo.
@@ -189,7 +173,7 @@ func (s *sqlStepper) init(minSup int64) ([]ItemsetCount, iterSizes, error) {
 	if _, err := s.run("DROP TABLE c1", minSup); err != nil {
 		return nil, iterSizes{}, err
 	}
-	return c1, iterSizes{rPrime: s.salesRows, rRows: r1Rows, plan: sqlPlan(s.workers)}, nil
+	return c1, iterSizes{rPrime: s.salesRows, rRows: r1Rows, plan: sqlPlan}, nil
 }
 
 func (s *sqlStepper) step(k int, minSup int64) ([]ItemsetCount, iterSizes, error) {
@@ -305,7 +289,7 @@ func (s *sqlStepper) step(k int, minSup int64) ([]ItemsetCount, iterSizes, error
 	}
 
 	s.prevR = rk
-	return counts, iterSizes{rPrime: rpRes.RowsAffected, rRows: rkRes.RowsAffected, plan: sqlPlan(s.workers)}, nil
+	return counts, iterSizes{rPrime: rpRes.RowsAffected, rRows: rkRes.RowsAffected, plan: sqlPlan}, nil
 }
 
 // readCounts loads C_k from the engine into the canonical sorted form,

@@ -117,8 +117,10 @@ type Options struct {
 	// and parallelism chosen from observed cardinalities. The other
 	// drivers ignore it.
 	Strategy Strategy
-	// MaxWorkers caps the adaptive executor's parallelism (MineAuto and
-	// StrategyAuto plans). Zero means GOMAXPROCS.
+	// MaxWorkers caps the mining executor's parallelism (MineAuto and
+	// StrategyAuto plans, and MineDelta's replay). Zero means GOMAXPROCS.
+	// It caps the mining executor only: MineSQL's engine plans are serial
+	// and ignore it.
 	MaxWorkers int
 	// Checkpoint, when non-nil, makes the adaptive executor persist a
 	// resumable manifest (k, C_1..C_k, R_k as a packed run file) into

@@ -42,12 +42,8 @@ type DB struct {
 	// costmodel defaults); calibVer versions it for the plan-cache key.
 	calib    *costmodel.Calibration
 	calibVer uint64
-	// plans caches compiled plans per (text, params, epoch, calibVer,
-	// worker cap).
+	// plans caches compiled plans per (text, params, epoch, calibVer).
 	plans planCache
-
-	// maxWorkers caps per-query parallelism (0 or 1 = serial plans).
-	maxWorkers int
 }
 
 // Option configures a DB.
@@ -57,7 +53,6 @@ type config struct {
 	poolFrames   int
 	sortMemLimit int
 	memBudget    int64
-	maxWorkers   int
 }
 
 // WithPoolFrames sets the buffer-pool capacity in 4 KB frames.
@@ -70,11 +65,6 @@ func WithSortMemory(n int) Option { return func(c *config) { c.sortMemLimit = n 
 // hash build; estimates above it plan external sorts (or reject hash
 // builds). Zero keeps the planner default.
 func WithMemBudget(n int64) Option { return func(c *config) { c.memBudget = n } }
-
-// WithMaxWorkers caps the degree of parallelism of a single query's
-// exchange operators (parallel scans, split merge joins, hash-aggregate
-// and sort workers). Zero or one keeps plans serial.
-func WithMaxWorkers(n int) Option { return func(c *config) { c.maxWorkers = n } }
 
 // New creates an empty database.
 func New(opts ...Option) *DB {
@@ -90,7 +80,6 @@ func New(opts ...Option) *DB {
 		cat:          catalog.New(pool),
 		SortMemLimit: cfg.sortMemLimit,
 		MemBudget:    cfg.memBudget,
-		maxWorkers:   cfg.maxWorkers,
 	}
 }
 
@@ -235,7 +224,6 @@ func (db *DB) compiler(p plan.Params) *plan.Compiler {
 	c.SortMemLimit = db.SortMemLimit
 	c.MemBudget = db.MemBudget
 	c.Calib = db.calib
-	c.MaxWorkers = db.maxWorkers
 	return c
 }
 

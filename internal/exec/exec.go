@@ -16,7 +16,6 @@ import (
 	"io"
 	"math/bits"
 	"slices"
-	"sync"
 
 	hp "setm/internal/heap"
 	"setm/internal/storage"
@@ -91,11 +90,10 @@ func Materialize(pool *storage.Pool, op Operator) (*hp.File, error) {
 // HeapScan reads a heap file front to back, decoding records directly into
 // column vectors.
 type HeapScan struct {
-	file       *hp.File
-	start, end int // page range; end == 0 means the whole file
-	sc         *hp.Scanner
-	buf        *tuple.Batch
-	rows       rowCursor
+	file *hp.File
+	sc   *hp.Scanner
+	buf  *tuple.Batch
+	rows rowCursor
 
 	stats OpStats
 }
@@ -103,27 +101,11 @@ type HeapScan struct {
 // NewHeapScan returns a scan over f.
 func NewHeapScan(f *hp.File) *HeapScan { return &HeapScan{file: f} }
 
-// NewHeapScanRange returns a scan over pages [start, end) of f — one
-// morsel of a parallel fragment.
-func NewHeapScanRange(f *hp.File, start, end int) *HeapScan {
-	return &HeapScan{file: f, start: start, end: end}
-}
-
-// PageRange reports the scan's page range for EXPLAIN; full == true means
-// the whole file.
-func (s *HeapScan) PageRange() (start, end int, full bool) {
-	return s.start, s.end, s.end == 0
-}
-
 func (s *HeapScan) Schema() *tuple.Schema { return s.file.Schema() }
 
 func (s *HeapScan) Open() error {
 	s.stats.Reset()
-	if s.end > 0 {
-		s.sc = s.file.ScanRange(s.start, s.end)
-	} else {
-		s.sc = s.file.Scan()
-	}
+	s.sc = s.file.Scan()
 	if s.buf == nil {
 		s.buf = tuple.NewBatch(s.file.Schema())
 	}
@@ -593,7 +575,6 @@ type Sort struct {
 	pool     *storage.Pool
 	memLimit int
 
-	parallel int // sort-worker count for the columnar path (0/1 = serial)
 	sizeHint int // expected input rows, pre-sizes the columnar buffer
 
 	// columnar path state
@@ -627,15 +608,6 @@ func (s *Sort) Keys() []SortKey { return s.keys }
 
 // External reports whether the sort spills runs through a pool.
 func (s *Sort) External() bool { return s.pool != nil }
-
-// SetParallel runs the columnar radix sort as w per-worker runs merged by
-// an in-memory cascade. The merged permutation is identical to the serial
-// one: the radix pairs carry the global row index as tie-break, so the
-// run merge reproduces the serial total order exactly.
-func (s *Sort) SetParallel(w int) { s.parallel = w }
-
-// Parallel returns the sort-worker count (for EXPLAIN).
-func (s *Sort) Parallel() int { return s.parallel }
 
 // SetSizeHint pre-sizes the columnar gather buffer for n input rows.
 func (s *Sort) SetSizeHint(n int) { s.sizeHint = n }
@@ -709,12 +681,7 @@ func (s *Sort) Open() error {
 // input position — the same total order the comparison paths produce.
 // Returns false (perm untouched) when the combined key domain needs more
 // than 64 bits.
-//
-// With workers > 1 the rows are cut into contiguous chunks, each packed
-// and radix-sorted on its own goroutine, and the sorted runs are merged
-// in memory. The pair's minor word is the global row index, a unique
-// tie-break, so the merged permutation is exactly the serial one.
-func sortPermRadix(store *tuple.Batch, cols []int, perm []int32, workers int) bool {
+func sortPermRadix(store *tuple.Batch, cols []int, perm []int32) bool {
 	n := len(perm)
 	if n < 2 {
 		return true
@@ -746,42 +713,15 @@ func sortPermRadix(store *tuple.Batch, cols []int, perm []int32, workers int) bo
 	if totalBits > 64 {
 		return false
 	}
-	pack := func(pairs []storage.PackedRow, lo, hi int) {
-		for r := lo; r < hi; r++ {
-			var key uint64
-			for _, p := range packs {
-				key = key<<p.bits | (uint64(p.v[r]) - p.min)
-			}
-			pairs[r-lo] = storage.PackedRow{Tid: key, Key: uint64(uint32(r))}
+	sorted := make([]storage.PackedRow, n)
+	for r := range sorted {
+		var key uint64
+		for _, p := range packs {
+			key = key<<p.bits | (uint64(p.v[r]) - p.min)
 		}
+		sorted[r] = storage.PackedRow{Tid: key, Key: uint64(uint32(r))}
 	}
-	var sorted []storage.PackedRow
-	if workers > 1 && n >= 2*tuple.BatchSize {
-		if workers > n/tuple.BatchSize {
-			workers = n / tuple.BatchSize
-		}
-		runs := make([][]storage.PackedRow, workers)
-		var wg sync.WaitGroup
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			lo, hi := w*n/workers, (w+1)*n/workers
-			go func(w, lo, hi int) {
-				defer wg.Done()
-				run := make([]storage.PackedRow, hi-lo)
-				pack(run, lo, hi)
-				tmp := make([]storage.PackedRow, hi-lo)
-				xsort.RadixSortRows(run, tmp)
-				runs[w] = run
-			}(w, lo, hi)
-		}
-		wg.Wait()
-		sorted = xsort.MergeRowSlices(runs, make([]storage.PackedRow, 0, n))
-	} else {
-		sorted = make([]storage.PackedRow, n)
-		pack(sorted, 0, n)
-		tmp := make([]storage.PackedRow, n)
-		xsort.RadixSortRows(sorted, tmp)
-	}
+	xsort.RadixSortRows(sorted, make([]storage.PackedRow, n))
 	for i := range sorted {
 		perm[i] = int32(uint32(sorted[i].Key))
 	}
@@ -859,7 +799,7 @@ func (s *Sort) openColumnar() error {
 		// conservative ordering claim cannot prove it (e.g. SETM's R'_k).
 		// The permutation stays the identity, which a stable sort of a
 		// sorted store would produce anyway, so output is unchanged.
-	case intAsc && sortPermRadix(store, cols, perm, s.parallel):
+	case intAsc && sortPermRadix(store, cols, perm):
 		// Sorted by the packed radix kernel: the combined key domain fit
 		// one word, so the rows moved in O(n) byte passes instead of
 		// n·log n indirect comparisons.

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"fmt"
 	"io"
 	"math/rand"
 	"sort"
@@ -22,6 +23,50 @@ func mem(names string, rows ...tuple.Tuple) *MemScan {
 		}
 	}
 	return NewMemScan(tuple.IntSchema(cols...), rows)
+}
+
+// heapFile builds a heap file from rows (several pages when rows is large
+// enough: ~250 two-int rows per 4 KB page).
+func heapFile(t testing.TB, schema *tuple.Schema, rows []tuple.Tuple) *hp.File {
+	t.Helper()
+	pool := storage.NewPool(storage.NewMemStore(), 64)
+	f, err := hp.Create(pool, schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.AppendAll(rows); err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
+// wantRows fails unless got equals want row for row, in order.
+func wantRows(t testing.TB, got, want []tuple.Tuple, label string) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d rows, want %d", label, len(got), len(want))
+	}
+	for i := range got {
+		if fmt.Sprint(got[i]) != fmt.Sprint(want[i]) {
+			t.Fatalf("%s: row %d = %v, want %v", label, i, got[i], want[i])
+		}
+	}
+}
+
+// keyRuns generates n (trans_id, item) rows ascending on trans_id with
+// duplicate-key runs, the physical shape of every SETM relation.
+func keyRuns(n int, seed int64) []tuple.Tuple {
+	rng := rand.New(rand.NewSource(seed))
+	rows := make([]tuple.Tuple, 0, n)
+	tid := int64(0)
+	for len(rows) < n {
+		tid += 1 + rng.Int63n(3)
+		run := 1 + rng.Intn(6)
+		for j := 0; j < run && len(rows) < n; j++ {
+			rows = append(rows, tuple.Ints(tid, rng.Int63n(50)))
+		}
+	}
+	return rows
 }
 
 func TestMemScanAndDrain(t *testing.T) {
@@ -139,6 +184,18 @@ func TestSortOperatorInMemoryAndExternal(t *testing.T) {
 			}
 		}
 	}
+}
+
+func TestSortSkipsAlreadySortedInput(t *testing.T) {
+	rows := keyRuns(3000, 13)
+	f := heapFile(t, tuple.IntSchema("trans_id", "item"), rows)
+	got, err := Drain(NewSortKeys(NewHeapScan(f), []SortKey{{Col: 0}}, nil, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Single-key sorted input: output must be the identity permutation —
+	// item values stay in input order within equal trans_id runs.
+	wantRows(t, got, rows, "sort of pre-sorted input")
 }
 
 func TestMergeJoinBasic(t *testing.T) {

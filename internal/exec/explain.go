@@ -75,16 +75,6 @@ func Children(op Operator) []Operator {
 		return []Operator{v.left, v.right}
 	case *NestedLoopJoin:
 		return []Operator{v.left, v.right}
-	case *Window:
-		return []Operator{v.child}
-	case *Gather:
-		// Fragment 0 stands in for the pipeline shape; the fragments are
-		// clones over different page ranges.
-		return []Operator{v.fragments[0]}
-	case *Repartition:
-		return []Operator{v.fragments[0]}
-	case *ParallelGroup:
-		return []Operator{v.fragments[0]}
 	default:
 		return nil
 	}
@@ -124,11 +114,7 @@ func explainAt(b *strings.Builder, op Operator, depth int, note func(Operator) s
 	}
 	switch v := op.(type) {
 	case *HeapScan:
-		if v.end > 0 {
-			line("HeapScan %s (pages [%d,%d) of %d)", v.file.Schema(), v.start, v.end, v.file.Pages())
-		} else {
-			line("HeapScan %s (%d rows, %d pages)", v.file.Schema(), v.file.Rows(), v.file.Pages())
-		}
+		line("HeapScan %s (%d rows, %d pages)", v.file.Schema(), v.file.Rows(), v.file.Pages())
 	case *MemScan:
 		line("MemScan %s (%d rows)", v.schema, len(v.rows))
 	case *Rename:
@@ -152,8 +138,6 @@ func explainAt(b *strings.Builder, op Operator, depth int, note func(Operator) s
 		explainAt(b, v.child, depth+1, note)
 	case *Sort:
 		switch {
-		case v.keys != nil && v.pool == nil && v.parallel > 1:
-			line("Sort keys=%v (vectorized in-memory, %d sort workers)", v.keys, v.parallel)
 		case v.keys != nil && v.pool == nil:
 			line("Sort keys=%v (vectorized in-memory)", v.keys)
 		case v.keys != nil:
@@ -179,39 +163,13 @@ func explainAt(b *strings.Builder, op Operator, depth int, note func(Operator) s
 		explainAt(b, v.left, depth+1, note)
 		explainAt(b, v.right, depth+1, note)
 	case *HashJoin:
-		if v.buildWorkers > 1 {
-			line("HashJoin on %v = %v (build right, %d partitions)", v.leftKeys, v.rightKeys, v.buildWorkers)
-		} else {
-			line("HashJoin on %v = %v (build right)", v.leftKeys, v.rightKeys)
-		}
+		line("HashJoin on %v = %v (build right)", v.leftKeys, v.rightKeys)
 		explainAt(b, v.left, depth+1, note)
 		explainAt(b, v.right, depth+1, note)
 	case *NestedLoopJoin:
 		line("NestedLoopJoin")
 		explainAt(b, v.left, depth+1, note)
 		explainAt(b, v.right, depth+1, note)
-	case *Window:
-		lo, hasLo, hi, hasHi := v.Bounds()
-		switch {
-		case hasLo && hasHi:
-			line("Window col %d in [%d,%d)", v.col, lo, hi)
-		case hasLo:
-			line("Window col %d ≥ %d", v.col, lo)
-		case hasHi:
-			line("Window col %d < %d", v.col, hi)
-		default:
-			line("Window col %d (unbounded)", v.col)
-		}
-		explainAt(b, v.child, depth+1, note)
-	case *Gather:
-		line("Gather (dop=%d, %d fragments)", v.workers, len(v.fragments))
-		explainAt(b, v.fragments[0], depth+1, note)
-	case *Repartition:
-		line("Repartition on %v (dop=%d, %d partitions, %d fragments)", v.keyCols, v.workers, v.parts, len(v.fragments))
-		explainAt(b, v.fragments[0], depth+1, note)
-	case *ParallelGroup:
-		line("ParallelGroup by %v (%d aggregates, dop=%d, %d fragments)", v.groupCols, len(v.aggs), v.workers, len(v.fragments))
-		explainAt(b, v.fragments[0], depth+1, note)
 	default:
 		line("%T", op)
 	}

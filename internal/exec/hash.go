@@ -3,7 +3,7 @@ package exec
 import (
 	"fmt"
 	"io"
-	"sync"
+	"slices"
 
 	"setm/internal/tuple"
 )
@@ -23,12 +23,11 @@ type HashJoin struct {
 	residual    JoinPredicate
 	schema      *tuple.Schema
 
-	buildWorkers int // >1: partitioned parallel build
-	buildHint    int // expected build rows, pre-sizes store and table
+	buildHint int // expected build rows, pre-sizes store and table
 
-	leftB  BatchOperator
-	store  *tuple.Batch         // materialized right input
-	tables []map[string][]int32 // partition -> key bytes -> right row indexes
+	leftB BatchOperator
+	store *tuple.Batch       // materialized right input
+	table map[string][]int32 // key bytes -> right row indexes
 
 	lcur    batchCursor
 	bucket  []int32
@@ -61,27 +60,6 @@ func (h *HashJoin) Schema() *tuple.Schema { return h.schema }
 // SetBuildSizeHint pre-sizes the build-side store and hash table for n
 // rows.
 func (h *HashJoin) SetBuildSizeHint(n int) { h.buildHint = n }
-
-// SetBuildWorkers partitions the hash-table build over w goroutines: the
-// build input is materialized once (serially, keeping row order), then
-// each worker builds the table partition owning hash(key) mod w. Bucket
-// lists are identical to a serial build — every key lives in exactly one
-// partition and each partition inserts in store order — so probe output
-// is unchanged for any w.
-func (h *HashJoin) SetBuildWorkers(w int) { h.buildWorkers = w }
-
-// BuildWorkers returns the partitioned-build worker count (for EXPLAIN).
-func (h *HashJoin) BuildWorkers() int { return h.buildWorkers }
-
-// keyPartition maps a serialized key to a table partition.
-func keyPartition(key []byte, parts int) int {
-	var fnv uint64 = 1469598103934665603
-	for _, c := range key {
-		fnv ^= uint64(c)
-		fnv *= 1099511628211
-	}
-	return int(fnv % uint64(parts))
-}
 
 // appendKey serializes the key columns of b's logical row i into buf.
 func appendKey(buf []byte, b *tuple.Batch, i int, cols []int) ([]byte, error) {
@@ -127,52 +105,14 @@ func (h *HashJoin) Open() error {
 		}
 		h.store.Append(b)
 	}
-	parts := h.buildWorkers
-	if parts < 1 {
-		parts = 1
-	}
-	h.tables = make([]map[string][]int32, parts)
-	rows := h.store.Len()
-	if parts == 1 {
-		t := make(map[string][]int32, h.buildHint)
+	h.table = make(map[string][]int32, h.buildHint)
+	for i := 0; i < h.store.Len(); i++ {
 		var err error
-		for i := 0; i < rows; i++ {
-			h.keyBuf, err = appendKey(h.keyBuf[:0], h.store, i, h.rightKeys)
-			if err != nil {
-				return err
-			}
-			t[string(h.keyBuf)] = append(t[string(h.keyBuf)], int32(i))
+		h.keyBuf, err = appendKey(h.keyBuf[:0], h.store, i, h.rightKeys)
+		if err != nil {
+			return err
 		}
-		h.tables[0] = t
-	} else {
-		errs := make([]error, parts)
-		var wg sync.WaitGroup
-		wg.Add(parts)
-		for w := 0; w < parts; w++ {
-			go func(w int) {
-				defer wg.Done()
-				t := make(map[string][]int32, h.buildHint/parts)
-				var buf []byte
-				for i := 0; i < rows; i++ {
-					var err error
-					buf, err = appendKey(buf[:0], h.store, i, h.rightKeys)
-					if err != nil {
-						errs[w] = err
-						return
-					}
-					if keyPartition(buf, parts) == w {
-						t[string(buf)] = append(t[string(buf)], int32(i))
-					}
-				}
-				h.tables[w] = t
-			}(w)
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return err
-			}
-		}
+		h.table[string(h.keyBuf)] = append(h.table[string(h.keyBuf)], int32(i))
 	}
 	h.lcur.reset(h.leftB)
 	h.probing = false
@@ -183,7 +123,7 @@ func (h *HashJoin) Open() error {
 func (h *HashJoin) Close() error {
 	err1 := h.left.Close()
 	err2 := h.right.Close()
-	h.tables = nil
+	h.table = nil
 	h.store = nil
 	if err1 != nil {
 		return err1
@@ -209,11 +149,7 @@ func (h *HashJoin) nextBatch() (*tuple.Batch, error) {
 			if err != nil {
 				return nil, err
 			}
-			t := h.tables[0]
-			if len(h.tables) > 1 {
-				t = h.tables[keyPartition(h.keyBuf, len(h.tables))]
-			}
-			h.bucket = t[string(h.keyBuf)]
+			h.bucket = h.table[string(h.keyBuf)]
 			h.bi = 0
 			h.probing = true
 		}
@@ -251,33 +187,31 @@ func (h *HashJoin) nextBatch() (*tuple.Batch, error) {
 func (h *HashJoin) Next() (tuple.Tuple, error) { return h.rows.next(h.NextBatch) }
 
 // HashGroup computes grouped aggregates with an in-memory hash table
-// instead of a pre-sorted input — the hash-based alternative to SortGroup
-// for the same ablation. Output order is unspecified (first-seen in
-// practice).
+// instead of a pre-sorted input. Where SortGroup needs its input sorted on
+// the group columns (and the planner pays a full materializing sort for
+// it), HashGroup aggregates unsorted input into an open-addressing table
+// keyed by the group columns and sorts only the distinct groups for
+// emission. Output is identical to sort+SortGroup — groups ascending on
+// the group columns, same aggregate values — at O(rows + groups·log
+// groups) instead of O(rows·log rows). Group columns and SUM/MIN/MAX
+// arguments must be integers.
 type HashGroup struct {
 	child     Operator
 	groupCols []int
 	aggs      []AggSpec
 	schema    *tuple.Schema
 
-	childB  BatchOperator
-	out     []tuple.Tuple
-	pos     int
-	buf     *tuple.Batch
-	scratch tuple.Tuple
+	childB BatchOperator
+	table  *groupTable
+	perm   []int32
+	pos    int
+	out    *tuple.Batch
+	rows   rowCursor
 
 	stats OpStats
 }
 
-type hashGroupState struct {
-	rep   tuple.Tuple
-	count int64
-	sums  []int64
-	mins  []int64
-	maxs  []int64
-}
-
-// NewHashGroup groups child on groupCols, computing aggs.
+// NewHashGroup groups child on groupCols (all integer), computing aggs.
 func NewHashGroup(child Operator, groupCols []int, aggs []AggSpec) *HashGroup {
 	in := child.Schema()
 	cols := make([]tuple.Column, 0, len(groupCols)+len(aggs))
@@ -307,117 +241,224 @@ func (g *HashGroup) Child() Operator { return g.child }
 
 func (g *HashGroup) Open() error {
 	g.stats.Reset()
+	g.rows.reset()
+	g.table, g.perm, g.pos = nil, nil, 0
 	if err := g.child.Open(); err != nil {
 		return err
 	}
-	defer g.child.Close()
-
-	if g.scratch == nil {
-		g.scratch = make(tuple.Tuple, g.child.Schema().Len())
+	t, err := g.build()
+	if cerr := g.child.Close(); err == nil {
+		err = cerr
 	}
-	groups := make(map[string]*hashGroupState)
-	var order []string // deterministic output: first-seen order
-	var keyBuf []byte
-	for {
-		b, err := g.childB.NextBatch()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return err
-		}
-		n := b.Len()
-		for i := 0; i < n; i++ {
-			keyBuf, err = appendKey(keyBuf[:0], b, i, g.groupCols)
-			if err != nil {
-				return err
-			}
-			key := string(keyBuf)
-			st, ok := groups[key]
-			if !ok {
-				st = &hashGroupState{
-					rep:  b.Row(i),
-					sums: make([]int64, len(g.aggs)),
-					mins: make([]int64, len(g.aggs)),
-					maxs: make([]int64, len(g.aggs)),
+	if err != nil {
+		return err
+	}
+	// Emission order: groups ascending on the group columns, which is what
+	// the equivalent sort+SortGroup plan emits.
+	g.table = t
+	g.perm = make([]int32, t.slots())
+	for i := range g.perm {
+		g.perm[i] = int32(i)
+	}
+	slices.SortFunc(g.perm, func(a, b int32) int {
+		for k := 0; k < t.nkeys; k++ {
+			av, bv := t.keys[k][a], t.keys[k][b]
+			if av != bv {
+				if av < bv {
+					return -1
 				}
-				groups[key] = st
-				order = append(order, key)
-			}
-			st.count++
-			for ai, a := range g.aggs {
-				switch a.Kind {
-				case AggSum, AggMin, AggMax:
-					col := &b.Cols[a.Col]
-					if col.Kind != tuple.KindInt {
-						return fmt.Errorf("exec: aggregate over non-integer column %d", a.Col)
-					}
-					v := col.I[b.RowIdx(i)]
-					if st.count == 1 {
-						st.sums[ai], st.mins[ai], st.maxs[ai] = v, v, v
-					} else {
-						st.sums[ai] += v
-						if v < st.mins[ai] {
-							st.mins[ai] = v
-						}
-						if v > st.maxs[ai] {
-							st.maxs[ai] = v
-						}
-					}
-				}
+				return 1
 			}
 		}
+		return 0
+	})
+	if g.out == nil {
+		g.out = tuple.NewBatch(g.schema)
 	}
-
-	g.out = g.out[:0]
-	for _, key := range order {
-		st := groups[key]
-		row := make(tuple.Tuple, 0, len(g.groupCols)+len(g.aggs))
-		for _, c := range g.groupCols {
-			row = append(row, st.rep[c])
-		}
-		for ai, a := range g.aggs {
-			switch a.Kind {
-			case AggCount:
-				row = append(row, tuple.I(st.count))
-			case AggSum:
-				row = append(row, tuple.I(st.sums[ai]))
-			case AggMin:
-				row = append(row, tuple.I(st.mins[ai]))
-			case AggMax:
-				row = append(row, tuple.I(st.maxs[ai]))
-			}
-		}
-		g.out = append(g.out, row)
-	}
-	g.pos = 0
 	return nil
 }
 
-func (g *HashGroup) Next() (tuple.Tuple, error) {
-	if g.pos >= len(g.out) {
-		return nil, io.EOF
+// build aggregates the opened child into a fresh table.
+func (g *HashGroup) build() (*groupTable, error) {
+	t := newGroupTable(len(g.groupCols), len(g.aggs))
+	key := make([]int64, len(g.groupCols))
+	for {
+		b, err := g.childB.NextBatch()
+		if err == io.EOF {
+			return t, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+		for _, gc := range g.groupCols {
+			if b.Cols[gc].Kind != tuple.KindInt {
+				return nil, fmt.Errorf("exec: hash group over non-integer column %d", gc)
+			}
+		}
+		n := b.Len()
+		for i := 0; i < n; i++ {
+			phys := b.RowIdx(i)
+			for k, gc := range g.groupCols {
+				key[k] = b.Cols[gc].I[phys]
+			}
+			s := t.lookup(key)
+			first := t.counts[s] == 0
+			t.counts[s]++
+			for ai, a := range g.aggs {
+				if a.Kind == AggCount {
+					continue
+				}
+				col := &b.Cols[a.Col]
+				if col.Kind != tuple.KindInt {
+					return nil, fmt.Errorf("exec: aggregate over non-integer column %d", a.Col)
+				}
+				v := col.I[phys]
+				if first {
+					t.sums[ai][s], t.mins[ai][s], t.maxs[ai][s] = v, v, v
+					continue
+				}
+				t.sums[ai][s] += v
+				t.mins[ai][s] = min(t.mins[ai][s], v)
+				t.maxs[ai][s] = max(t.maxs[ai][s], v)
+			}
+		}
 	}
-	t := g.out[g.pos]
-	g.pos++
-	return t, nil
 }
 
 func (g *HashGroup) nextBatch() (*tuple.Batch, error) {
-	if g.pos >= len(g.out) {
+	if g.table == nil || g.pos >= len(g.perm) {
 		return nil, io.EOF
 	}
-	if g.buf == nil {
-		g.buf = tuple.NewBatch(g.schema)
-	}
-	g.buf.Reset()
-	for g.pos < len(g.out) && g.buf.Len() < tuple.BatchSize {
-		if err := g.buf.AppendTuple(g.out[g.pos]); err != nil {
-			return nil, err
+	t := g.table
+	g.out.Reset()
+	end := min(g.pos+tuple.BatchSize, len(g.perm))
+	g.out.Grow(end - g.pos)
+	for ; g.pos < end; g.pos++ {
+		s := int(g.perm[g.pos])
+		for k := 0; k < t.nkeys; k++ {
+			g.out.Cols[k].I = append(g.out.Cols[k].I, t.keys[k][s])
 		}
-		g.pos++
+		base := t.nkeys
+		for ai, a := range g.aggs {
+			var v int64
+			switch a.Kind {
+			case AggCount:
+				v = t.counts[s]
+			case AggSum:
+				v = t.sums[ai][s]
+			case AggMin:
+				v = t.mins[ai][s]
+			case AggMax:
+				v = t.maxs[ai][s]
+			}
+			g.out.Cols[base+ai].I = append(g.out.Cols[base+ai].I, v)
+		}
+		g.out.BumpRow()
 	}
-	return g.buf, nil
+	return g.out, nil
 }
 
-func (g *HashGroup) Close() error { return nil }
+func (g *HashGroup) Next() (tuple.Tuple, error) { return g.rows.next(g.NextBatch) }
+
+func (g *HashGroup) Close() error {
+	g.table, g.perm = nil, nil
+	return nil
+}
+
+// groupTable is an open-addressing hash table from an all-integer group
+// key to a slot of aggregate state. Keys and states are stored columnar;
+// buckets hold slot indexes.
+type groupTable struct {
+	nkeys int
+	naggs int
+
+	keys   [][]int64 // nkeys slices, slot-indexed
+	counts []int64
+	sums   [][]int64 // naggs slices
+	mins   [][]int64
+	maxs   [][]int64
+
+	buckets []int32 // power of two; -1 = empty
+	mask    uint64
+}
+
+func newGroupTable(nkeys, naggs int) *groupTable {
+	t := &groupTable{nkeys: nkeys, naggs: naggs}
+	t.keys = make([][]int64, nkeys)
+	t.sums = make([][]int64, naggs)
+	t.mins = make([][]int64, naggs)
+	t.maxs = make([][]int64, naggs)
+	t.rehash(1 << 10)
+	return t
+}
+
+func (t *groupTable) slots() int { return len(t.counts) }
+
+func (t *groupTable) rehash(n int) {
+	t.buckets = make([]int32, n)
+	for i := range t.buckets {
+		t.buckets[i] = -1
+	}
+	t.mask = uint64(n - 1)
+	key := make([]int64, t.nkeys)
+	for s := 0; s < t.slots(); s++ {
+		for k := range key {
+			key[k] = t.keys[k][s]
+		}
+		h := hashKey(key) & t.mask
+		for t.buckets[h] != -1 {
+			h = (h + 1) & t.mask
+		}
+		t.buckets[h] = int32(s)
+	}
+}
+
+func hashKey(key []int64) uint64 {
+	var h uint64 = 1469598103934665603
+	for _, v := range key {
+		h ^= uint64(v)
+		h *= 1099511628211
+	}
+	h ^= h >> 33
+	h *= 0xff51afd7ed558ccd
+	h ^= h >> 33
+	return h
+}
+
+// lookup finds or creates the slot for key.
+func (t *groupTable) lookup(key []int64) int {
+	h := hashKey(key) & t.mask
+	for {
+		s := t.buckets[h]
+		if s == -1 {
+			break
+		}
+		match := true
+		for k := 0; k < t.nkeys; k++ {
+			if t.keys[k][s] != key[k] {
+				match = false
+				break
+			}
+		}
+		if match {
+			return int(s)
+		}
+		h = (h + 1) & t.mask
+	}
+	// Insert a fresh slot.
+	s := t.slots()
+	for k := 0; k < t.nkeys; k++ {
+		t.keys[k] = append(t.keys[k], key[k])
+	}
+	t.counts = append(t.counts, 0)
+	for a := 0; a < t.naggs; a++ {
+		t.sums[a] = append(t.sums[a], 0)
+		t.mins[a] = append(t.mins[a], 0)
+		t.maxs[a] = append(t.maxs[a], 0)
+	}
+	t.buckets[h] = int32(s)
+	if uint64(t.slots())*4 > uint64(len(t.buckets))*3 {
+		t.rehash(len(t.buckets) * 2)
+	}
+	return s
+}

@@ -114,7 +114,7 @@ func (b *Batch) Reset() {
 
 // Grow pre-sizes every column vector so at least n further rows can be
 // appended without reallocation. Operators that know their output
-// cardinality (gathers, hash-join builds, sort materialization) call this
+// cardinality (hash-join builds, sort materialization) call this
 // once instead of paying growslice+memmove on every doubling.
 func (b *Batch) Grow(n int) {
 	if n <= 0 {

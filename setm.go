@@ -32,7 +32,7 @@
 // MinePartitioned (hash-sharded with a global count merge), MinePaged
 // (budget-bounded spillable relations with page-I/O accounting; set
 // Options.Strategy = StrategyAuto to re-plan it per iteration), and
-// MineSQL (the paper's SQL statements executed by the bundled
+// MineSQL (the paper's SQL statements executed serially by the bundled
 // relational engine). Every Result records the chosen plan per
 // iteration in Stats[i].Plan.
 package setm
@@ -245,7 +245,8 @@ func MinePaged(d *Dataset, opts Options, cfg PagedConfig) (*PagedResult, error) 
 }
 
 // MineSQL runs Algorithm SETM by executing the paper's SQL formulation on
-// the bundled relational engine.
+// the bundled relational engine. The engine's plans are serial:
+// Options.MaxWorkers caps the mining executor only and does not reach it.
 func MineSQL(d *Dataset, opts Options, cfg SQLConfig) (*Result, error) {
 	return core.MineSQL(d, opts, cfg)
 }
